@@ -59,6 +59,12 @@ def _csv(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join([",".join(header), *(",".join(row) for row in rows)]) + "\n"
 
 
+def _check_count(flag: str, value: int) -> None:
+    """Refuse a row count outside 1..MAX_STEPS before any model work starts."""
+    if not 1 <= value <= race.MAX_STEPS:
+        raise ValueError(f"--{flag} must be between 1 and {race.MAX_STEPS}")
+
+
 def _race_config(args) -> race.RaceConfig:
     return race.RaceConfig(x0=args.x0, sa=args.sa, st=args.st)
 
@@ -112,8 +118,7 @@ def _step_rows(config: race.RaceConfig, count: int):
 
 
 def cmd_steps(args) -> str:
-    if not 1 <= args.n <= race.MAX_STEPS:
-        raise ValueError(f"--n must be between 1 and {race.MAX_STEPS}")
+    _check_count("n", args.n)
     config = _race_config(args)
     events, gaps = _step_rows(config, args.n)
     if args.format == "json":
@@ -172,8 +177,7 @@ def cmd_process(args) -> str:
 
 
 def cmd_dichotomy(args) -> str:
-    if not 1 <= args.n <= race.MAX_STEPS:
-        raise ValueError(f"--n must be between 1 and {race.MAX_STEPS}")
+    _check_count("n", args.n)
     config = processes.DichotomyConfig(length=args.length, speed=args.speed)
     events = processes.dichotomy_sequence(config, args.n)
     total = processes.accumulation_point(processes.dichotomy_process(config))
@@ -188,8 +192,7 @@ def cmd_bounce(args) -> str:
 
 
 def cmd_floaterr(args) -> str:
-    if not 1 <= args.nmax <= race.MAX_STEPS:
-        raise ValueError(f"--nmax must be between 1 and {race.MAX_STEPS}")
+    _check_count("nmax", args.nmax)
     config = _race_config(args)
     rows = []
     for pair in floatsum.error_sweep(config, args.nmax):

@@ -17,11 +17,13 @@ impossible whenever t_inf itself is finite in binary64.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .errors import DivergenceError
-from .race import MAX_STEPS, RaceConfig, t_n_closed
+from .race import MAX_STEPS, RaceConfig, geometric_sums, t_n_closed
 
 __all__ = ["NAIVE", "COMPENSATED", "FloatReport", "sum_naive", "sum_compensated", "error_sweep"]
 
@@ -55,11 +57,22 @@ def _float_inputs(config: RaceConfig) -> tuple[float, float]:
     return float(config.x0 / config.sa), float(r)
 
 
-def _check_last_index(n: int) -> None:
+def _float_sums(config: RaceConfig, n: int) -> Iterator[tuple[int, float, float]]:
+    """(k, naive, compensated) float partial sums for k = 0..n, in one pass."""
     if n < 0:
         raise ValueError("last term index must be >= 0")
     if n > MAX_STEPS:
         raise ValueError(f"last term index {n} exceeds the cap of {MAX_STEPS}")
+    term, ratio = _float_inputs(config)
+    naive = comp = carry = 0.0
+    for k in range(n + 1):
+        naive += term
+        y = term - carry
+        t = comp + y
+        carry = (t - comp) - y  # the low bits the addition just dropped
+        comp = t
+        yield k, naive, comp
+        term *= ratio
 
 
 def _report(n: int, method: str, value: float, exact: Fraction) -> FloatReport:
@@ -71,59 +84,29 @@ def _report(n: int, method: str, value: float, exact: Fraction) -> FloatReport:
 
 def sum_naive(config: RaceConfig, n: int) -> FloatReport:
     """Left-to-right float accumulation of the first n+1 terms."""
-    _check_last_index(n)
-    term, ratio = _float_inputs(config)
-    total = 0.0
-    for _ in range(n + 1):
-        total += term
-        term *= ratio
-    return _report(n, NAIVE, total, t_n_closed(config, n))
+    _, naive, _ = deque(_float_sums(config, n), maxlen=1).pop()
+    return _report(n, NAIVE, naive, t_n_closed(config, n))
 
 
 def sum_compensated(config: RaceConfig, n: int) -> FloatReport:
     """Kahan-compensated accumulation of the same terms as sum_naive."""
-    _check_last_index(n)
-    term, ratio = _float_inputs(config)
-    total = 0.0
-    carry = 0.0
-    for _ in range(n + 1):
-        y = term - carry
-        t = total + y
-        carry = (t - total) - y  # the low bits the addition just dropped
-        total = t
-        term *= ratio
-    return _report(n, COMPENSATED, total, t_n_closed(config, n))
+    _, _, comp = deque(_float_sums(config, n), maxlen=1).pop()
+    return _report(n, COMPENSATED, comp, t_n_closed(config, n))
 
 
 def error_sweep(config: RaceConfig, n_max: int) -> list[tuple[FloatReport, FloatReport]]:
     """Reports (naive, compensated) for every n = 0..n_max in one pass.
 
-    The exact partial sums accumulate incrementally alongside the float
-    state, so the sweep costs O(n_max) summations rather than O(n_max^2).
+    The float state and the exact partial sums (race.geometric_sums) advance
+    together, one step per n. The sweep is not O(n_max) in time, though:
+    for r = p/q each exact sum and error field gains about log10(q) digits
+    per step, so every step costs more than the last, and a ratio with a
+    large denominator (r = 999/1000, say) makes a long sweep slow.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if n_max > MAX_STEPS:
-        raise ValueError(f"n_max {n_max} exceeds the cap of {MAX_STEPS}")
-    term, ratio = _float_inputs(config)
-    naive = 0.0
-    comp = 0.0
-    carry = 0.0
-    exact = Fraction(0)
-    exact_term = config.x0 / config.sa
-    exact_ratio = config.ratio
-    pairs = []
-    for n in range(n_max + 1):
-        naive += term
-
-        y = term - carry
-        t = comp + y
-        carry = (t - comp) - y
-        comp = t
-
-        exact += exact_term
-        pairs.append((_report(n, NAIVE, naive, exact), _report(n, COMPENSATED, comp, exact)))
-
-        term *= ratio
-        exact_term *= exact_ratio
-    return pairs
+    exact = geometric_sums(config.x0 / config.sa, config.ratio, n_max + 1)
+    return [
+        (_report(n, NAIVE, naive, s), _report(n, COMPENSATED, comp, s))
+        for (n, naive, comp), s in zip(_float_sums(config, n_max), exact)
+    ]

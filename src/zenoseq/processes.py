@@ -9,6 +9,11 @@ ratio. For ratio < 1 the event times accumulate at a finite instant,
 first_interval/(1 - ratio): infinitely many events inside a finite time
 interval. The chase race, the half-the-remaining-distance walk, and the
 bouncing ball whose flight times shrink geometrically are all instances.
+
+Every event time is a partial sum of race.geometric_sums, the shared
+recurrence t <- first_interval + ratio*t; race.geometric_sum is its
+closed form. This module only supplies each process's first interval
+and ratio.
 """
 
 from __future__ import annotations
@@ -16,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegenerateRatioError, DivergenceError
-from .race import RaceConfig, StepEvent, as_exact
+from .errors import DivergenceError
+from .race import RaceConfig, StepEvent, as_exact, geometric_sum, geometric_sums
 
 __all__ = [
     "GeometricEventProcess",
@@ -94,31 +99,17 @@ class BounceConfig:
 
 def event_time(process: GeometricEventProcess, k: int) -> Fraction:
     """Closed-form time of event k: first_interval*(1 - ratio^(k+1))/(1 - ratio)."""
-    if k < 0:
-        raise ValueError("event index must be >= 0")
-    r = process.ratio
-    if r == 1:
-        raise DegenerateRatioError("closed form undefined at ratio 1; use event_times")
-    return process.first_interval * (1 - r ** (k + 1)) / (1 - r)
+    return geometric_sum(process.first_interval, process.ratio, k)
 
 
 def event_times(process: GeometricEventProcess, count: int) -> list[Fraction]:
-    """Times of events 0..count-1 by direct accumulation; any ratio.
+    """Times of events 0..count-1 by the shared recurrence t <- first + ratio*t.
 
     Partial sums are well defined whether or not the process converges,
     so unlike event_time this also covers ratio = 1 (an arithmetic
     progression of event times).
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    times = []
-    total = Fraction(0)
-    interval = process.first_interval
-    for _ in range(count):
-        total += interval
-        times.append(total)
-        interval *= process.ratio
-    return times
+    return list(geometric_sums(process.first_interval, process.ratio, count))
 
 
 def accumulation_point(process: GeometricEventProcess) -> Fraction:
@@ -152,20 +143,15 @@ def dichotomy_process(config: DichotomyConfig) -> GeometricEventProcess:
 def dichotomy_sequence(config: DichotomyConfig, count: int) -> list[StepEvent]:
     """Events 0..count-1 of the halving walk.
 
-    Event n is the runner reaching length*(1 - (1/2)^(n+1)), generated by
-    repeatedly splitting the remaining distance; every position falls
-    strictly short of the full length.
+    Event n is the runner reaching length*(1 - (1/2)^(n+1)): the shared
+    recurrence x <- length/2 + x/2 covers half of what remains at every
+    step, so every position falls strictly short of the full length.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    events = []
-    covered = Fraction(0)
-    remaining = config.length
-    for n in range(count):
-        covered += remaining / 2
-        remaining = config.length - covered
-        events.append(StepEvent(n=n, t=covered / config.speed, x=covered))
-    return events
+    speed = config.speed
+    return [
+        StepEvent(n=n, t=x / speed, x=x)
+        for n, x in enumerate(geometric_sums(config.length / 2, Fraction(1, 2), count))
+    ]
 
 
 def bounce_process(config: BounceConfig) -> GeometricEventProcess:

@@ -10,13 +10,18 @@ with ratio r = st/sa:
 For r < 1 these converge: the pursuer draws level at t_inf =
 (x0/sa)/(1 - r), x_inf = x0/(1 - r), after infinitely many step events
 but finite time. Everything here is exact rational arithmetic.
+
+The package's one geometric-series engine lives here too: geometric_sums
+(the partial sums by recurrence) and geometric_sum (their closed form).
+The chase, the event processes and the float audit's exact oracle adapt
+it by supplying a first term and a ratio.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import DegenerateRatioError, DivergenceError
 
@@ -26,6 +31,8 @@ __all__ = [
     "StepEvent",
     "CatchUp",
     "Positions",
+    "geometric_sums",
+    "geometric_sum",
     "step_sequence",
     "t_n_closed",
     "x_n_closed",
@@ -106,51 +113,58 @@ class Positions(NamedTuple):
 
 def _check_index(n: int) -> None:
     if n < 0:
-        raise ValueError("step index must be >= 0")
+        raise ValueError("index must be >= 0")
 
 
-def _check_count(count: int) -> None:
+def geometric_sums(first: Fraction, ratio: Fraction, count: int) -> Iterator[Fraction]:
+    """Partial sums first*(1 + ratio + ... + ratio^k) for k = 0..count-1.
+
+    Each sum comes from the last by s <- first + ratio*s, so a step only
+    meets the small inputs; adding the terms ratio^k one by one would take
+    a gcd of two growing integers at every step. Partial sums exist for
+    any ratio, 1 and above included.
+    """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if count > MAX_STEPS:
-        raise ValueError(f"count {count} exceeds the cap of {MAX_STEPS} steps")
+    s = first
+    yield s
+    for _ in range(count - 1):
+        s = first + ratio * s
+        yield s
+
+
+def geometric_sum(first: Fraction, ratio: Fraction, k: int) -> Fraction:
+    """Closed form first*(1 - ratio^(k+1))/(1 - ratio) of partial sum k."""
+    _check_index(k)
+    if ratio == 1:
+        raise DegenerateRatioError("closed form undefined at ratio 1; use the partial sums")
+    return first * ((1 - ratio ** (k + 1)) / (1 - ratio))
 
 
 def step_sequence(config: RaceConfig, count: int) -> list[StepEvent]:
     """Events 0..count-1 of the chase recurrence.
 
     Event 0 is the pursuer reaching the head-start mark (t0 = x0/sa);
-    afterwards x_{n+1} = x0 + st*t_n and t_{n+1} = x_{n+1}/sa.
+    afterwards x_{n+1} = x0 + st*t_n = x0 + r*x_n and t_{n+1} = x_{n+1}/sa,
+    so the positions are the geometric partial sums with first term x0.
     """
-    _check_count(count)
-    events = []
-    x = config.x0
-    for n in range(count):
-        t = x / config.sa
-        events.append(StepEvent(n, t, x))
-        x = config.x0 + config.st * t
-    return events
-
-
-def _geometric_factor(config: RaceConfig, n: int) -> Fraction:
-    r = config.ratio
-    if r == 1:
-        raise DegenerateRatioError(
-            "closed form undefined at ratio 1; use step_sequence"
-        )
-    return (1 - r ** (n + 1)) / (1 - r)
+    if count > MAX_STEPS:
+        raise ValueError(f"count {count} exceeds the cap of {MAX_STEPS} steps")
+    sa = config.sa
+    return [
+        StepEvent(n, x / sa, x)
+        for n, x in enumerate(geometric_sums(config.x0, config.ratio, count))
+    ]
 
 
 def t_n_closed(config: RaceConfig, n: int) -> Fraction:
     """Closed-form step time (x0/sa)*(1 - r^(n+1))/(1 - r)."""
-    _check_index(n)
-    return (config.x0 / config.sa) * _geometric_factor(config, n)
+    return geometric_sum(config.x0 / config.sa, config.ratio, n)
 
 
 def x_n_closed(config: RaceConfig, n: int) -> Fraction:
     """Closed-form step position x0*(1 - r^(n+1))/(1 - r) = sa * t_n."""
-    _check_index(n)
-    return config.x0 * _geometric_factor(config, n)
+    return geometric_sum(config.x0, config.ratio, n)
 
 
 def check_speed_identities(config: RaceConfig, events: list[StepEvent]) -> bool:

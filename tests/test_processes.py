@@ -32,6 +32,9 @@ ratios_below_one = st.fractions(
 ratios_strictly_inside = st.fractions(
     min_value=F(1, 1000), max_value=F(999, 1000), max_denominator=1000
 )
+ratios_above_one = st.fractions(
+    min_value=F(1001, 1000), max_value=F(10), max_denominator=1000
+)
 
 convergent_processes = st.builds(
     GeometricEventProcess, first_interval=positive, ratio=ratios_below_one
@@ -108,9 +111,15 @@ class TestEventTime:
 
 
 class TestEventTimes:
-    def test_prefix_of_closed_form(self):
-        process = GeometricEventProcess(F(1, 2), F(1, 2))
-        assert event_times(process, 3) == [event_time(process, k) for k in range(3)]
+    @given(
+        st.one_of(
+            convergent_processes,
+            st.builds(GeometricEventProcess, first_interval=positive, ratio=ratios_above_one),
+        ),
+        st.integers(min_value=1, max_value=64),
+    )
+    def test_prefix_of_closed_form(self, process, count):
+        assert event_times(process, count) == [event_time(process, k) for k in range(count)]
 
     def test_ratio_one_is_arithmetic_progression(self):
         assert event_times(GeometricEventProcess(1, 1), 4) == [1, 2, 3, 4]
