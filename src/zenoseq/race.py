@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from math import floor, inf, log, log1p
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import DegenerateRatioError, DivergenceError
 
@@ -220,12 +221,56 @@ def gap_at_step(config: RaceConfig, n: int) -> Fraction:
     return config.x0 * r ** (n + 1)
 
 
+def _log_ratio(num: int, den: int) -> float:
+    """log(num/den) for positive integers of any size, never via float(num/den).
+
+    Near 1 it takes log1p of the exact difference, so a ratio such as
+    999999/1000000 keeps its digits; elsewhere no cancellation can occur.
+    """
+    if den <= 2 * num and num <= 2 * den:
+        return log1p((num - den) / den)
+    return log(num) - log(den)
+
+
+def _least_true(pred: Callable[[int], bool], start: int) -> int:
+    """Least m >= 1 with pred(m), for a pred that is false below it and true from it on.
+
+    Unbounded search (Bentley & Yao, 1976): gallop from `start` by doubling
+    steps until the answer is bracketed, then bisect. That takes
+    O(log |answer - start|) calls of pred, and none of them is past
+    max(start, 2*answer - start).
+    """
+    if pred(start):
+        lo, hi, step = start - 1, start, 1
+        while lo > 0 and pred(lo):
+            hi, step = lo, 2 * step
+            lo = max(0, hi - step)
+    else:
+        lo, hi, step = start, start + 1, 1
+        while not pred(hi):
+            lo, step = hi, 2 * step
+            hi = lo + step
+    # pred(hi) holds; pred(lo) does not, or lo == 0.
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def steps_to_within(config: RaceConfig, eps) -> int:
     """Smallest n whose remaining time t_inf - t_n is strictly below eps.
 
-    The residual after step n is (x0/sa)*r^(n+1)/(1 - r); it is scanned by
-    exact multiplication, never by a floating logarithm, so ties resolve
-    deterministically.
+    The residual after step n is (x0/sa)*r^(n+1)/(1 - r). With r = p/q and
+    eps*(1 - r)/(x0/sa) = a/b, the answer is m - 1 for the least m >= 1 with
+    p^m * b < a * q^m. The logarithms of those integers estimate m; exact
+    integer comparisons then correct the estimate by galloping and
+    bisection, so no float of eps can underflow and a tie residual(n) == eps
+    steps past n. Cost: O(log n) pows of integers of about n*log2(q) bits,
+    usually two or three; the largest integer built is about the size of
+    r^(n+1) itself.
     """
     eps = as_exact(eps, "eps")
     if eps <= 0:
@@ -235,9 +280,9 @@ def steps_to_within(config: RaceConfig, eps) -> int:
     r = config.ratio
     if r >= 1:
         raise DivergenceError("no catch-up: ratio >= 1")
-    residual = (config.x0 / config.sa) * r / (1 - r)
-    n = 0
-    while residual >= eps:
-        residual *= r
-        n += 1
-    return n
+    p, q = r.numerator, r.denominator
+    a, b = (eps * (1 - r) * config.sa / config.x0).as_integer_ratio()
+    rate = _log_ratio(q, p)
+    estimate = _log_ratio(b, a) / rate if rate > 0 else 0.0
+    start = floor(estimate) + 1 if 0 < estimate < inf else 1
+    return _least_true(lambda m: p**m * b < a * q**m, start) - 1

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from zenoseq import race
 from zenoseq.errors import DegenerateRatioError, DivergenceError
 from zenoseq.race import (
     MAX_STEPS,
@@ -65,6 +66,12 @@ def iterate_recurrence(config: RaceConfig, count: int) -> list[tuple]:
         x = config.x0 + config.st * t
         t = x / config.sa
     return rows
+
+
+def residual(config: RaceConfig, n: int) -> Fraction:
+    """Time left after step n, t_inf - t_n; before step 0 (n = -1) it is t_inf."""
+    t_n = t_n_closed(config, n) if n >= 0 else 0
+    return catch_up(config).t_inf - t_n
 
 
 def brute_force_time(config: RaceConfig, n: int) -> Fraction:
@@ -325,7 +332,42 @@ class TestStepsToWithin:
         st.fractions(min_value=F(1, 500), max_value=F(10), max_denominator=500),
     )
     def test_agrees_with_brute_force(self, config, eps):
-        assert steps_to_within(config, eps) == self.brute_force(config, eps)
+        # The residual strictly decreases for 0 < r < 1, so the brute-force
+        # scan's answer is the one n with residual(n) < eps <= residual(n - 1),
+        # or 0 when residual(0) < eps already.
+        n = steps_to_within(config, eps)
+        assert residual(config, n) < eps
+        assert n == 0 or eps <= residual(config, n - 1)
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 137, 10_000])
+    @pytest.mark.parametrize("r", [F(1, 1000), F(1, 2), F(999, 1000), F(999999, 1000000)])
+    def test_exact_at_the_boundary(self, r, m):
+        config = config_with_ratio(F(3), F(7), r)
+        assert steps_to_within(config, residual(config, m)) == m + 1
+        between = (residual(config, m) + residual(config, m - 1)) / 2
+        assert steps_to_within(config, between) == m
+
+    def test_eps_below_the_float_range(self):
+        # 2^-(n+1) < 10^-400 first at n + 1 = ceil(400 * log2(10)) = 1329.
+        assert steps_to_within(RaceConfig(1, 2, 1), F(1, 10**400)) == 1328
+
+    def test_head_start_beyond_the_float_range(self):
+        # residual(n) = 10^400 * 2^-n drops below 1 first at n = 1329.
+        assert steps_to_within(RaceConfig(10**400, 1, F(1, 2)), F(1)) == 1329
+
+
+@pytest.mark.parametrize("answer", [1, 2, 3, 7, 64, 1000])
+@pytest.mark.parametrize("start", [1, 2, 5, 63, 64, 65, 999, 1000, 1001, 5000])
+def test_least_true_from_any_start(answer, start):
+    probes = []
+
+    def at_least_answer(m):
+        probes.append(m)
+        return m >= answer
+
+    assert race._least_true(at_least_answer, start) == answer
+    assert min(probes) >= 1
+    assert max(probes) <= max(start, 2 * answer - start)
 
 
 class TestRaceProperties:
