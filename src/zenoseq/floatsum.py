@@ -76,9 +76,12 @@ def _float_sums(config: RaceConfig, n: int) -> Iterator[tuple[int, float, float]
 
 
 def _report(n: int, method: str, value: float, exact: Fraction) -> FloatReport:
-    err = abs(Fraction(value) - exact)
+    # |value/exact - 1| is err/exact (exact > 0), but its gcds pair the
+    # double's 53-bit parts with big integers, never two big integers.
+    rational = Fraction(value)
+    err, rel = abs(rational - exact), abs(rational / exact - 1)
     return FloatReport(
-        n=n, method=method, value=value, exact=exact, abs_error=err, rel_error=err / exact
+        n=n, method=method, value=value, exact=exact, abs_error=err, rel_error=rel
     )
 
 
@@ -100,8 +103,10 @@ def error_sweep(config: RaceConfig, n_max: int) -> list[tuple[FloatReport, Float
     The float state and the exact partial sums (race.geometric_sums) advance
     together, one step per n. The sweep is not O(n_max) in time, though:
     for r = p/q each exact sum and error field gains about log10(q) digits
-    per step, so every step costs more than the last, and a ratio with a
-    large denominator (r = 999/1000, say) makes a long sweep slow.
+    per step. Every report pairs those big integers only with small ones
+    (the double's 53-bit parts), so it costs time linear in their digits
+    and the whole sweep about O(n_max^2 * log q); a ratio with a large
+    denominator (r = 999/1000, say) still makes a long sweep slow.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")

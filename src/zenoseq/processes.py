@@ -145,13 +145,13 @@ def dichotomy_sequence(config: DichotomyConfig, count: int) -> list[StepEvent]:
 
     Event n is the runner reaching length*(1 - (1/2)^(n+1)): the shared
     recurrence x <- length/2 + x/2 covers half of what remains at every
-    step, so every position falls strictly short of the full length.
+    step, so every position falls strictly short of the full length. The
+    times run the same recurrence from length/(2*speed).
     """
-    speed = config.speed
-    return [
-        StepEvent(n=n, t=x / speed, x=x)
-        for n, x in enumerate(geometric_sums(config.length / 2, Fraction(1, 2), count))
-    ]
+    half = Fraction(1, 2)
+    times = geometric_sums(config.length / (2 * config.speed), half, count)
+    positions = geometric_sums(config.length / 2, half, count)
+    return [StepEvent(n=n, t=t, x=x) for n, (t, x) in enumerate(zip(times, positions))]
 
 
 def bounce_process(config: BounceConfig) -> GeometricEventProcess:

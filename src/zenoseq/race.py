@@ -14,14 +14,19 @@ but finite time. Everything here is exact rational arithmetic.
 The package's one geometric-series engine lives here too: geometric_sums
 (the partial sums by recurrence) and geometric_sum (their closed form).
 The chase, the event processes and the float audit's exact oracle adapt
-it by supplying a first term and a ratio.
+it by supplying a first term and a ratio. geometric_sums carries each sum
+as integers already in lowest terms, a*S_k / (b*q^k) for first = a/b and
+ratio = p/q, and finds the two common factors from small integers, so a
+step costs O(1) multiplications of a big integer by a small one and takes
+no gcd of a big integer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, inf, log, log1p
+from itertools import repeat
+from math import floor, gcd, inf, log, log1p
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import DegenerateRatioError, DivergenceError
@@ -117,21 +122,57 @@ def _check_index(n: int) -> None:
         raise ValueError("index must be >= 0")
 
 
+def _coprime_fraction(numerator: int, denominator: int) -> Fraction:
+    """Fraction(numerator, denominator) without the gcd that normalizes it.
+
+    The caller guarantees gcd(numerator, denominator) == 1 and
+    denominator > 0. This fills Fraction's two slots directly, as
+    Fraction._from_coprime_ints does from Python 3.12 on; CPython 3.10 to
+    3.13 all lay Fraction out as these two slots.
+    """
+    value = object.__new__(Fraction)
+    value._numerator = numerator
+    value._denominator = denominator
+    return value
+
+
 def geometric_sums(first: Fraction, ratio: Fraction, count: int) -> Iterator[Fraction]:
     """Partial sums first*(1 + ratio + ... + ratio^k) for k = 0..count-1.
 
-    Each sum comes from the last by s <- first + ratio*s, so a step only
-    meets the small inputs; adding the terms ratio^k one by one would take
-    a gcd of two growing integers at every step. Partial sums exist for
-    any ratio, 1 and above included.
+    Partial sums exist for any ratio, 1 and above included. With
+    ratio = p/q and first = a/b in lowest terms, sum k is
+    a*S_k / (b*q^k), where S_k = q^k + p*S_(k-1) and S_0 = 1. S_k = p^k
+    (mod q), so S_k/q^k is already in lowest terms, and the only common
+    factors left are g_a = gcd(a, q^k) and g_b = gcd(S_k, b). Both come
+    from small integers: g_a = gcd(a, g_a'*q) from its previous value
+    g_a', and g_b = gcd(S_k mod b, b) from S_k and q^k carried mod b.
+    The reduced power q^k/g_a is carried too, multiplied by q*g_a'/g_a.
+    Each step therefore costs O(1) multiplications of a big integer by a
+    small one; it takes no gcd of a big integer and divides one (by g_b)
+    only when g_b > 1. A zero sum (first = 0, or ratio = -1 at odd k)
+    comes out as Fraction(0).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    s = first
-    yield s
-    for _ in range(count - 1):
-        s = first + ratio * s
-        yield s
+    a, b = first.numerator, first.denominator
+    if a == 0:  # every sum is 0, and gcd(a, q^k) = q^k would grow
+        yield from repeat(Fraction(0), count)
+        return
+    p, q = ratio.numerator, ratio.denominator
+    s = power = 1  # S_k and q^k/g_a
+    s_mod_b = q_k_mod_b = 1 % b
+    g_a = 1
+    for k in range(count):
+        if k:
+            g_a_next = gcd(a, g_a * q)
+            power *= q * g_a // g_a_next
+            g_a = g_a_next
+            s = (power * g_a if g_a > 1 else power) + p * s
+            q_k_mod_b = q_k_mod_b * q % b
+            s_mod_b = (q_k_mod_b + p * s_mod_b) % b
+        g_b = gcd(s_mod_b, b)
+        numerator = a // g_a * (s // g_b if g_b > 1 else s)
+        yield _coprime_fraction(numerator, b // g_b * power)
 
 
 def geometric_sum(first: Fraction, ratio: Fraction, k: int) -> Fraction:
@@ -147,15 +188,15 @@ def step_sequence(config: RaceConfig, count: int) -> list[StepEvent]:
 
     Event 0 is the pursuer reaching the head-start mark (t0 = x0/sa);
     afterwards x_{n+1} = x0 + st*t_n = x0 + r*x_n and t_{n+1} = x_{n+1}/sa,
-    so the positions are the geometric partial sums with first term x0.
+    so the positions are the geometric partial sums with first term x0
+    and the times those with first term x0/sa.
     """
     if count > MAX_STEPS:
         raise ValueError(f"count {count} exceeds the cap of {MAX_STEPS} steps")
-    sa = config.sa
-    return [
-        StepEvent(n, x / sa, x)
-        for n, x in enumerate(geometric_sums(config.x0, config.ratio, count))
-    ]
+    r = config.ratio
+    times = geometric_sums(config.x0 / config.sa, r, count)
+    positions = geometric_sums(config.x0, r, count)
+    return [StepEvent(n, t, x) for n, (t, x) in enumerate(zip(times, positions))]
 
 
 def t_n_closed(config: RaceConfig, n: int) -> Fraction:

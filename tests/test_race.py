@@ -1,5 +1,7 @@
 """The chase model against hand-iterated and brute-force oracles."""
 
+import copy
+import pickle
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
@@ -17,6 +19,7 @@ from zenoseq.race import (
     catch_up,
     check_speed_identities,
     gap_at_step,
+    geometric_sums,
     position_at,
     step_sequence,
     steps_to_within,
@@ -139,6 +142,73 @@ class TestStepSequence:
 
     def test_cap_itself_is_allowed(self):
         assert len(step_sequence(RaceConfig(1, 2, 1), MAX_STEPS)) == MAX_STEPS
+
+
+def longhand_sums(first: Fraction, ratio: Fraction, count: int) -> list[Fraction]:
+    """Independent oracle: the engine's recurrence s <- first + ratio*s in Fractions."""
+    sums = [first]
+    for _ in range(count - 1):
+        sums.append(first + ratio * sums[-1])
+    return sums
+
+
+def assert_same_fractions(values, expected) -> None:
+    """Equal values, each in lowest terms with a positive denominator."""
+    values = list(values)
+    assert values == expected
+    for value in values:
+        normalized = F(value.numerator, value.denominator)
+        assert (value.numerator, value.denominator) == (normalized.numerator, normalized.denominator)
+        assert hash(value) == hash(normalized)
+
+
+firsts = st.one_of(
+    st.just(F(0)), st.fractions(min_value=F(-1000), max_value=F(1000), max_denominator=1000)
+)
+any_ratios = st.one_of(
+    st.sampled_from([F(0), F(1), F(-1)]),
+    st.fractions(min_value=F(-5), max_value=F(5), max_denominator=100),
+)
+
+
+class TestGeometricSums:
+    @given(firsts, any_ratios, st.integers(min_value=1, max_value=64))
+    def test_equals_longhand_recurrence(self, first, ratio, count):
+        assert_same_fractions(geometric_sums(first, ratio, count), longhand_sums(first, ratio, count))
+
+    @pytest.mark.parametrize(
+        "first,ratio,count",
+        [
+            (F(1000, 7), F(999, 1000), 40),  # gcd(a, q^k) reaches 1000 at k = 1, then stays
+            (F(1024, 3), F(1, 2), 40),  # gcd(a, q^k) doubles up to k = 10, then stays
+            (F(1, 89), F(1, 2), 45),  # 89 divides 2^11 - 1: S_k shares 89 with b every 11 steps
+            (F(-5, 3), F(-1), 9),  # every odd partial sum is 0
+            (F(0), F(3, 7), 5),
+            (F(0), F(-1), 5),
+            (F(7, 2), F(1), 6),
+            (F(7, 2), F(0), 3),
+        ],
+    )
+    def test_named_cases(self, first, ratio, count):
+        assert_same_fractions(geometric_sums(first, ratio, count), longhand_sums(first, ratio, count))
+
+    @given(any_configs, st.integers(min_value=1, max_value=64))
+    def test_step_times_are_positions_over_speed(self, config, count):
+        events = step_sequence(config, count)
+        assert_same_fractions([e.t for e in events], [e.x / config.sa for e in events])
+
+
+def test_fraction_layout_behind_the_coprime_constructor():
+    """race._coprime_fraction fills Fraction's slots; a layout change fails here first."""
+    assert Fraction.__slots__ == ("_numerator", "_denominator")
+    for n, d in [(0, 1), (5, 1), (3, 4), (-7, 12), (2**200 + 1, 3**150)]:
+        made, expected = race._coprime_fraction(n, d), F(n, d)
+        assert type(made) is Fraction
+        assert made == expected and hash(made) == hash(expected)
+        assert float(made) == float(expected)
+        assert (str(made), repr(made)) == (str(expected), repr(expected))
+        for twin in (copy.deepcopy(made), pickle.loads(pickle.dumps(made))):
+            assert twin == expected and hash(twin) == hash(expected)
 
 
 class TestClosedForms:
