@@ -39,7 +39,7 @@ from .race import (
     verify_speed_identities,
     x_n_closed,
 )
-from .rational import Rational, make, parse, render, to_decimal_string
+from .rational import parse, render, to_decimal_string
 
 __version__ = "0.1.0"
 
@@ -56,7 +56,6 @@ __all__ = [
     "NAIVE",
     "Positions",
     "RaceConfig",
-    "Rational",
     "StepEvent",
     "accumulation_point",
     "bounce_process",
@@ -68,7 +67,6 @@ __all__ = [
     "event_time",
     "event_times",
     "gap_at_step",
-    "make",
     "parse",
     "position_at",
     "race_as_process",

@@ -155,13 +155,13 @@ def cmd_steps(args) -> str:
 def cmd_within(args) -> str:
     config = _race_config(args)
     n = race.steps_to_within(config, args.eps)
-    residual = race.catch_up(config).t_inf - race.t_n_closed(config, n)
+    residual = race.catch_up(config).t_inf * config.ratio ** (n + 1)
     return f"n = {n}\n" + _scalar("residual", residual, args.digits) + "\n"
 
 
 def cmd_process(args) -> str:
-    if args.k < 0:
-        raise ValueError("--k must be >= 0")
+    if not 0 <= args.k <= race.MAX_STEPS:
+        raise ValueError(f"--k must be between 0 and {race.MAX_STEPS}")
     proc = processes.GeometricEventProcess(first_interval=args.first, ratio=args.ratio)
     times = processes.event_times(proc, args.k + 1)
     rows = [[str(k), render(t)] for k, t in enumerate(times)]
@@ -255,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("process", help="event times of a geometric event process")
     p.add_argument("--first", type=parse, required=True, help="duration of event 0 (rational)")
     p.add_argument("--ratio", type=parse, required=True, help="interval ratio (rational)")
-    p.add_argument("--k", type=int, required=True, help="last event index to print")
+    p.add_argument("--k", type=int, required=True, help="last event index to print (0..10000)")
     _add_digits(p)
     p.set_defaults(handler=cmd_process)
 
@@ -296,7 +296,3 @@ def main(argv: list[str] | None = None) -> int:
         return 4
     sys.stdout.write(out)
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .errors import DivergenceError
-from .race import MAX_STEPS, RaceConfig, geometric_sums, t_n_closed
+from .race import MAX_STEPS, RaceConfig, convergent, geometric_sums, t_n_closed
 
 __all__ = ["NAIVE", "COMPENSATED", "FloatReport", "sum_naive", "sum_compensated", "error_sweep"]
 
@@ -48,22 +47,16 @@ class FloatReport:
     rel_error: Fraction
 
 
-def _float_inputs(config: RaceConfig) -> tuple[float, float]:
-    # float() on a Fraction divides the integer parts, which CPython rounds
-    # correctly to nearest/even.
-    r = config.ratio
-    if r >= 1:
-        raise DivergenceError("no catch-up: ratio >= 1")
-    return float(config.x0 / config.sa), float(r)
-
-
 def _float_sums(config: RaceConfig, n: int) -> Iterator[tuple[int, float, float]]:
     """(k, naive, compensated) float partial sums for k = 0..n, in one pass."""
     if n < 0:
         raise ValueError("last term index must be >= 0")
     if n > MAX_STEPS:
         raise ValueError(f"last term index {n} exceeds the cap of {MAX_STEPS}")
-    term, ratio = _float_inputs(config)
+    # float() on a Fraction divides the integer parts, which CPython rounds
+    # correctly to nearest/even.
+    ratio = float(convergent(config.ratio))
+    term = float(config.x0 / config.sa)
     naive = comp = carry = 0.0
     for k in range(n + 1):
         naive += term

@@ -13,7 +13,9 @@ bouncing ball whose flight times shrink geometrically are all instances.
 Every event time is a partial sum of race.geometric_sums, the shared
 recurrence t <- first_interval + ratio*t; race.geometric_sum is its
 closed form. This module only supplies each process's first interval
-and ratio.
+and ratio. The halving walk over length L at speed v is the chase with
+head start x0 = L/2, pursuer speed v and leader speed v/2 (r = 1/2), so
+its step events come from race.step_sequence.
 """
 
 from __future__ import annotations
@@ -22,7 +24,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DivergenceError
-from .race import RaceConfig, StepEvent, as_exact, geometric_sum, geometric_sums
+from .race import (
+    RaceConfig,
+    StepEvent,
+    convergent,
+    exact_fields,
+    geometric_sum,
+    geometric_sums,
+    step_sequence,
+)
 
 __all__ = [
     "GeometricEventProcess",
@@ -46,10 +56,7 @@ class GeometricEventProcess:
     ratio: Fraction
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "first_interval", as_exact(self.first_interval, "first_interval")
-        )
-        object.__setattr__(self, "ratio", as_exact(self.ratio, "ratio"))
+        exact_fields(self, "first_interval", "ratio")
         if self.first_interval <= 0:
             raise ValueError("first_interval must be > 0")
         if self.ratio < 0:
@@ -65,8 +72,7 @@ class DichotomyConfig:
     speed: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "length", as_exact(self.length, "length"))
-        object.__setattr__(self, "speed", as_exact(self.speed, "speed"))
+        exact_fields(self, "length", "speed")
         if self.length <= 0:
             raise ValueError("length must be > 0")
         if self.speed <= 0:
@@ -87,10 +93,7 @@ class BounceConfig:
     time_ratio: Fraction
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "first_flight", as_exact(self.first_flight, "first_flight")
-        )
-        object.__setattr__(self, "time_ratio", as_exact(self.time_ratio, "time_ratio"))
+        exact_fields(self, "first_flight", "time_ratio")
         if self.first_flight <= 0:
             raise ValueError("first_flight must be > 0")
         if not 0 <= self.time_ratio < 1:
@@ -125,11 +128,11 @@ def race_as_process(config: RaceConfig) -> GeometricEventProcess:
 
     The inter-step intervals are t_0 = x0/sa, then shrink by r per step,
     so the accumulation point of the result is exactly the catch-up time.
+    Requires ratio < 1 (see race.convergent).
     """
-    r = config.ratio
-    if r >= 1:
-        raise DivergenceError("no catch-up: ratio >= 1")
-    return GeometricEventProcess(first_interval=config.x0 / config.sa, ratio=r)
+    return GeometricEventProcess(
+        first_interval=config.x0 / config.sa, ratio=convergent(config.ratio)
+    )
 
 
 def dichotomy_process(config: DichotomyConfig) -> GeometricEventProcess:
@@ -141,17 +144,16 @@ def dichotomy_process(config: DichotomyConfig) -> GeometricEventProcess:
 
 
 def dichotomy_sequence(config: DichotomyConfig, count: int) -> list[StepEvent]:
-    """Events 0..count-1 of the halving walk.
+    """Events 0..count-1 of the halving walk, count <= race.MAX_STEPS.
 
-    Event n is the runner reaching length*(1 - (1/2)^(n+1)): the shared
-    recurrence x <- length/2 + x/2 covers half of what remains at every
-    step, so every position falls strictly short of the full length. The
-    times run the same recurrence from length/(2*speed).
+    The walk is the chase with head start length/2, pursuer speed `speed`
+    and leader speed speed/2: the leader's next mark is always halfway
+    between the runner and the end of the track. Event n is the runner
+    reaching length*(1 - (1/2)^(n+1)) at time x/speed, strictly short of
+    the full length.
     """
-    half = Fraction(1, 2)
-    times = geometric_sums(config.length / (2 * config.speed), half, count)
-    positions = geometric_sums(config.length / 2, half, count)
-    return [StepEvent(n=n, t=t, x=x) for n, (t, x) in enumerate(zip(times, positions))]
+    chase = RaceConfig(config.length / 2, config.speed, config.speed / 2)
+    return step_sequence(chase, count)
 
 
 def bounce_process(config: BounceConfig) -> GeometricEventProcess:

@@ -66,6 +66,23 @@ def as_exact(value, name: str = "value") -> Fraction:
     return Fraction(value)
 
 
+def exact_fields(obj, *names: str) -> None:
+    """Replace each named field of a frozen dataclass by its as_exact value."""
+    for name in names:
+        object.__setattr__(obj, name, as_exact(getattr(obj, name), name))
+
+
+def convergent(ratio: Fraction) -> Fraction:
+    """The ratio, if the series it makes converges (ratio < 1).
+
+    Otherwise the pursuer is not strictly faster, never closes the gap,
+    and this raises DivergenceError.
+    """
+    if ratio >= 1:
+        raise DivergenceError("no catch-up: ratio >= 1")
+    return ratio
+
+
 @dataclass(frozen=True)
 class RaceConfig:
     """Head start x0 of the leader plus the two constant speeds.
@@ -80,8 +97,7 @@ class RaceConfig:
     st: Fraction
 
     def __post_init__(self):
-        for name in ("x0", "sa", "st"):
-            object.__setattr__(self, name, as_exact(getattr(self, name), name))
+        exact_fields(self, "x0", "sa", "st")
         if self.x0 <= 0:
             raise ValueError("head start x0 must be > 0")
         if self.sa <= 0:
@@ -234,14 +250,8 @@ def verify_speed_identities(config: RaceConfig, count: int) -> bool:
 
 
 def catch_up(config: RaceConfig) -> CatchUp:
-    """Limit of the step events: requires ratio < 1.
-
-    A pursuer that is not strictly faster never closes the gap, so the
-    series diverges and this raises DivergenceError.
-    """
-    r = config.ratio
-    if r >= 1:
-        raise DivergenceError("no catch-up: ratio >= 1")
+    """Limit of the step events: requires ratio < 1 (see convergent)."""
+    r = convergent(config.ratio)
     return CatchUp(t_inf=(config.x0 / config.sa) / (1 - r), x_inf=config.x0 / (1 - r))
 
 
@@ -256,10 +266,7 @@ def position_at(config: RaceConfig, t) -> Positions:
 def gap_at_step(config: RaceConfig, n: int) -> Fraction:
     """Leader's lead x0*r^(n+1) at the instant the pursuer reaches x_n."""
     _check_index(n)
-    r = config.ratio
-    if r >= 1:
-        raise DivergenceError("no catch-up: ratio >= 1")
-    return config.x0 * r ** (n + 1)
+    return config.x0 * convergent(config.ratio) ** (n + 1)
 
 
 def _log_ratio(num: int, den: int) -> float:
@@ -318,9 +325,7 @@ def steps_to_within(config: RaceConfig, eps) -> int:
         raise ValueError("eps must be > 0")
     if config.st == 0:
         raise ValueError("stationary leader: the residual is 0 from step 0")
-    r = config.ratio
-    if r >= 1:
-        raise DivergenceError("no catch-up: ratio >= 1")
+    r = convergent(config.ratio)
     p, q = r.numerator, r.denominator
     a, b = (eps * (1 - r) * config.sa / config.x0).as_integer_ratio()
     rate = _log_ratio(q, p)

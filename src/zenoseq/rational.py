@@ -15,22 +15,12 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-__all__ = ["Rational", "make", "parse", "render", "to_decimal_string"]
-
-Rational = Fraction
+__all__ = ["parse", "render", "to_decimal_string"]
 
 # integer := [-]?digits ; ratio := integer "/" digits ; decimal := [-]?digits "." digits
 # Deliberately stricter than Fraction's constructor: no whitespace, no "+",
 # no exponents, no "_" separators, no bare "." forms.
 _LITERAL = re.compile(r"(-?)(\d+)(?:/(\d+)|\.(\d+))?")
-
-
-def make(numerator: int, denominator: int = 1) -> Fraction:
-    """Normalized rational numerator/denominator.
-
-    A zero denominator raises ZeroDivisionError.
-    """
-    return Fraction(numerator, denominator)
 
 
 def parse(text: str) -> Fraction:

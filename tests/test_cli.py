@@ -1,11 +1,15 @@
 """CLI behavior: golden outputs, exit codes, determinism, JSON round-trips."""
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cli_cases import CASES, CliCase, golden_path
 from zenoseq import cli
@@ -127,6 +131,34 @@ class TestGoldenContents:
             assert b'"' not in raw
 
 
+positive = st.fractions(min_value=F(1, 1000), max_value=F(1000), max_denominator=1000)
+ratios_strictly_inside = st.fractions(
+    min_value=F(1, 1000), max_value=F(999, 1000), max_denominator=1000
+)
+
+
+class TestWithinResidual:
+    # Thresholds from t_inf/2 to 2*t_inf keep n small enough at r = 999/1000
+    # that the printed residual stays under the interpreter's digit limit.
+    @given(
+        positive,
+        positive,
+        st.one_of(st.just(F(999, 1000)), ratios_strictly_inside),
+        st.fractions(min_value=F(1, 2), max_value=F(2), max_denominator=100),
+    )
+    def test_residual_is_t_inf_minus_t_n(self, x0, sa, ratio, share):
+        config = RaceConfig(x0, sa, sa * ratio)
+        t_inf = catch_up(config).t_inf
+        argv = ["within", "--x0", str(x0), "--sa", str(sa), "--st", str(config.st)]
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert cli.main([*argv, "--eps", str(t_inf * share)]) == 0
+        n_line, residual_line = out.getvalue().splitlines()
+        n = int(n_line.removeprefix("n = "))
+        residual = parse(residual_line.split()[2])
+        assert residual == t_inf - t_n_closed(config, n)
+
+
 class TestJsonRoundTrip:
     def test_catchup_envelope(self):
         doc = json.loads(golden_path("catchup-json").read_text())
@@ -198,6 +230,21 @@ class TestExitCodes:
         code, _, err = run_main(["steps", "--x0", "1", "--sa", "2", "--st", "1", "--n", n], capsys)
         assert code == 2
         assert "between 1 and 10000" in err
+
+    @pytest.mark.parametrize("k", ["-1", "10001"])
+    def test_event_index_out_of_range(self, k, capsys):
+        code, out, err = run_main(["process", "--first", "1", "--ratio", "0", "--k", k], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --k must be between 0 and 10000\n"
+
+    def test_event_index_at_the_cap(self, capsys):
+        code, out, _ = run_main(["process", "--first", "1", "--ratio", "0", "--k", "10000"], capsys)
+        assert code == 0
+        lines = out.splitlines()
+        # header, events 0..10000, then the accumulation point
+        assert len(lines) == 10_003
+        assert lines[-2].split() == ["10000", "1"]
 
     def test_nmax_out_of_range(self, capsys):
         code, _, err = run_main(

@@ -19,7 +19,7 @@ from zenoseq.processes import (
     event_times,
     race_as_process,
 )
-from zenoseq.race import RaceConfig, catch_up
+from zenoseq.race import MAX_STEPS, RaceConfig, catch_up
 
 F = Fraction
 
@@ -206,6 +206,10 @@ class TestDichotomy:
     def test_zero_count_rejected(self):
         with pytest.raises(ValueError):
             dichotomy_sequence(DichotomyConfig(1, 1), 0)
+
+    def test_count_over_the_cap_rejected(self):
+        with pytest.raises(ValueError):
+            dichotomy_sequence(DichotomyConfig(1, 1), MAX_STEPS + 1)
 
     @given(
         st.builds(DichotomyConfig, length=positive, speed=positive),

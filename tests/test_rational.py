@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from zenoseq.rational import Rational, make, parse, render, to_decimal_string
+from zenoseq.rational import parse, render, to_decimal_string
 
 rationals = st.fractions(
     min_value=Fraction(-1000), max_value=Fraction(1000), max_denominator=1000
@@ -15,25 +15,25 @@ rationals = st.fractions(
 
 class TestMake:
     def test_normalizes_to_lowest_terms(self):
-        assert make(2, 4) == Fraction(1, 2)
+        assert Fraction(2, 4) == Fraction(1, 2)
 
     def test_sign_moves_to_numerator(self):
-        a = make(3, -6)
+        a = Fraction(3, -6)
         assert a == Fraction(-1, 2)
         assert a.denominator == 2
         assert a.numerator == -1
 
     def test_zero_is_unique(self):
-        a = make(0, 7)
+        a = Fraction(0, 7)
         assert a.numerator == 0
         assert a.denominator == 1
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):
-            make(1, 0)
+            Fraction(1, 0)
 
     def test_default_denominator_is_one(self):
-        assert make(7) == Fraction(7)
+        assert Fraction(7).denominator == 1
 
 
 class TestArithmetic:
@@ -41,31 +41,31 @@ class TestArithmetic:
     # rest of the package leans on.
 
     def test_add(self):
-        assert make(1, 2) + make(1, 3) == make(5, 6)
+        assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6)
 
     def test_mul_inverse_pair(self):
-        assert make(3, 4) * make(4, 3) == make(1)
+        assert Fraction(3, 4) * Fraction(4, 3) == Fraction(1)
 
     def test_div_identity(self):
-        assert make(1, 2) / make(1, 2) == make(1)
+        assert Fraction(1, 2) / Fraction(1, 2) == Fraction(1)
 
     def test_div_by_zero(self):
         with pytest.raises(ZeroDivisionError):
-            make(1, 2) / make(0)
+            Fraction(1, 2) / Fraction(0)
 
     def test_pow(self):
-        assert make(1, 2) ** 3 == make(1, 8)
-        assert make(5, 4) ** 0 == make(1)
-        assert make(2, 3) ** 2 == make(4, 9)
+        assert Fraction(1, 2) ** 3 == Fraction(1, 8)
+        assert Fraction(5, 4) ** 0 == Fraction(1)
+        assert Fraction(2, 3) ** 2 == Fraction(4, 9)
 
     def test_zero_to_the_zero_is_one(self):
         # The n=0 series term is ratio^0; it must stay 1 when the ratio is 0.
-        assert make(0) ** 0 == make(1)
+        assert Fraction(0) ** 0 == Fraction(1)
 
     def test_compare(self):
-        assert make(1, 3) < make(1, 2)
-        assert make(2, 4) == make(1, 2)
-        assert make(10, 9) > make(1)
+        assert Fraction(1, 3) < Fraction(1, 2)
+        assert Fraction(2, 4) == Fraction(1, 2)
+        assert Fraction(10, 9) > Fraction(1)
 
 
 class TestParse:
@@ -120,46 +120,46 @@ class TestParse:
 
 class TestRender:
     def test_ratio_form(self):
-        assert render(make(1, 2)) == "1/2"
+        assert render(Fraction(1, 2)) == "1/2"
 
     def test_integer_form_drops_denominator(self):
-        assert render(make(3)) == "3"
-        assert render(make(0)) == "0"
+        assert render(Fraction(3)) == "3"
+        assert render(Fraction(0)) == "0"
 
     def test_negative(self):
-        assert render(make(-1, 2)) == "-1/2"
+        assert render(Fraction(-1, 2)) == "-1/2"
 
 
 class TestDecimalString:
     def test_repeating_expansion_truncates_correctly(self):
-        assert to_decimal_string(make(1, 9), 4) == "0.1111"
+        assert to_decimal_string(Fraction(1, 9), 4) == "0.1111"
 
     def test_half_rounds_to_even_down(self):
-        assert to_decimal_string(make(1, 2), 0) == "0"
+        assert to_decimal_string(Fraction(1, 2), 0) == "0"
 
     def test_half_rounds_to_even_up(self):
-        assert to_decimal_string(make(3, 2), 0) == "2"
-        assert to_decimal_string(make(1, 8), 2) == "0.12"
-        assert to_decimal_string(make(3, 8), 2) == "0.38"
+        assert to_decimal_string(Fraction(3, 2), 0) == "2"
+        assert to_decimal_string(Fraction(1, 8), 2) == "0.12"
+        assert to_decimal_string(Fraction(3, 8), 2) == "0.38"
 
     def test_above_one(self):
-        assert to_decimal_string(make(10, 9), 3) == "1.111"
+        assert to_decimal_string(Fraction(10, 9), 3) == "1.111"
 
     def test_zero_digits_has_no_point(self):
-        assert to_decimal_string(make(7, 3), 0) == "2"
+        assert to_decimal_string(Fraction(7, 3), 0) == "2"
 
     def test_carry_across_the_point(self):
-        assert to_decimal_string(make(999, 1000), 2) == "1.00"
+        assert to_decimal_string(Fraction(999, 1000), 2) == "1.00"
 
     def test_negative_value(self):
-        assert to_decimal_string(make(-1, 8), 2) == "-0.12"
+        assert to_decimal_string(Fraction(-1, 8), 2) == "-0.12"
 
     def test_negative_rounding_to_zero_drops_sign(self):
-        assert to_decimal_string(make(-1, 1000), 2) == "0.00"
+        assert to_decimal_string(Fraction(-1, 1000), 2) == "0.00"
 
     def test_negative_digits_rejected(self):
         with pytest.raises(ValueError):
-            to_decimal_string(make(1, 2), -1)
+            to_decimal_string(Fraction(1, 2), -1)
 
     @given(rationals, st.integers(min_value=0, max_value=12))
     def test_matches_decimal_module(self, a, digits):
@@ -200,7 +200,7 @@ class TestProperties:
 
     @given(rationals)
     def test_normalization_is_idempotent(self, a):
-        again = make(a.numerator, a.denominator)
+        again = Fraction(a.numerator, a.denominator)
         assert again.numerator == a.numerator
         assert again.denominator == a.denominator
         assert again.denominator > 0
@@ -213,6 +213,3 @@ class TestProperties:
         assert math.gcd(abs(a.numerator), a.denominator) == 1
         if a == 0:
             assert (a.numerator, a.denominator) == (0, 1)
-
-    def test_rational_alias_is_the_carrier(self):
-        assert Rational is Fraction
