@@ -59,10 +59,10 @@ def _csv(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join([",".join(header), *(",".join(row) for row in rows)]) + "\n"
 
 
-def _check_count(flag: str, value: int) -> None:
-    """Refuse a row count outside 1..MAX_STEPS before any model work starts."""
-    if not 1 <= value <= race.MAX_STEPS:
-        raise ValueError(f"--{flag} must be between 1 and {race.MAX_STEPS}")
+def _check_count(flag: str, value: int, low: int = 1) -> None:
+    """Refuse a row count outside low..MAX_STEPS before any model work starts."""
+    if not low <= value <= race.MAX_STEPS:
+        raise ValueError(f"--{flag} must be between {low} and {race.MAX_STEPS}")
 
 
 def _race_config(args) -> race.RaceConfig:
@@ -160,8 +160,7 @@ def cmd_within(args) -> str:
 
 
 def cmd_process(args) -> str:
-    if not 0 <= args.k <= race.MAX_STEPS:
-        raise ValueError(f"--k must be between 0 and {race.MAX_STEPS}")
+    _check_count("k", args.k, low=0)
     proc = processes.GeometricEventProcess(first_interval=args.first, ratio=args.ratio)
     times = processes.event_times(proc, args.k + 1)
     rows = [[str(k), render(t)] for k, t in enumerate(times)]

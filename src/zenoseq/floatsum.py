@@ -10,19 +10,23 @@ closed form; the error fields carry no rounding of their own. The input
 conversion error is charged to the float side, not the oracle.
 
 CPython floats are strict IEEE-754 binary64 with no fused multiply-add
-and no reassociation, so all values here reproduce bit for bit. With
-r < 1 every partial sum is bounded by the catch-up time, so overflow is
-impossible whenever t_inf itself is finite in binary64.
+and no reassociation, so all values here reproduce bit for bit. Every
+exact partial sum is at most t_inf, so the inputs convert to finite
+doubles whenever t_inf is inside the binary64 range. A t_inf above it
+raises ValueError before any summing, and so does a float partial sum
+that rounding still carries to infinity.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import inf
 from typing import Iterator
 
-from .race import MAX_STEPS, RaceConfig, convergent, geometric_sums, t_n_closed
+from .race import MAX_STEPS, RaceConfig, catch_up, geometric_sums, t_n_closed
 
 __all__ = ["NAIVE", "COMPENSATED", "FloatReport", "sum_naive", "sum_compensated", "error_sweep"]
 
@@ -53,9 +57,11 @@ def _float_sums(config: RaceConfig, n: int) -> Iterator[tuple[int, float, float]
         raise ValueError("last term index must be >= 0")
     if n > MAX_STEPS:
         raise ValueError(f"last term index {n} exceeds the cap of {MAX_STEPS}")
+    if catch_up(config).t_inf > sys.float_info.max:
+        raise ValueError(f"catch-up time is above the binary64 range (max {sys.float_info.max!r})")
     # float() on a Fraction divides the integer parts, which CPython rounds
     # correctly to nearest/even.
-    ratio = float(convergent(config.ratio))
+    ratio = float(config.ratio)
     term = float(config.x0 / config.sa)
     naive = comp = carry = 0.0
     for k in range(n + 1):
@@ -64,6 +70,8 @@ def _float_sums(config: RaceConfig, n: int) -> Iterator[tuple[int, float, float]
         t = comp + y
         carry = (t - comp) - y  # the low bits the addition just dropped
         comp = t
+        if naive == inf or comp == inf:
+            raise ValueError(f"float partial sum {k} overflows the binary64 range")
         yield k, naive, comp
         term *= ratio
 

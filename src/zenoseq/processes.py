@@ -15,7 +15,8 @@ recurrence t <- first_interval + ratio*t; race.geometric_sum is its
 closed form. This module only supplies each process's first interval
 and ratio. The halving walk over length L at speed v is the chase with
 head start x0 = L/2, pursuer speed v and leader speed v/2 (r = 1/2), so
-its step events come from race.step_sequence.
+its step events come from race.step_sequence and its event process from
+race_as_process.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from fractions import Fraction
 
 from .errors import DivergenceError
 from .race import (
+    MAX_STEPS,
     RaceConfig,
     StepEvent,
     convergent,
@@ -110,8 +112,11 @@ def event_times(process: GeometricEventProcess, count: int) -> list[Fraction]:
 
     Partial sums are well defined whether or not the process converges,
     so unlike event_time this also covers ratio = 1 (an arithmetic
-    progression of event times).
+    progression of event times). A count above MAX_STEPS + 1 (last index
+    MAX_STEPS, as for process --k) raises ValueError.
     """
+    if count > MAX_STEPS + 1:
+        raise ValueError(f"count {count} exceeds the cap of {MAX_STEPS + 1} events")
     return list(geometric_sums(process.first_interval, process.ratio, count))
 
 
@@ -135,25 +140,24 @@ def race_as_process(config: RaceConfig) -> GeometricEventProcess:
     )
 
 
+def _dichotomy_chase(config: DichotomyConfig) -> RaceConfig:
+    """The chase the halving walk is: x0 = length/2, sa = speed, st = speed/2."""
+    return RaceConfig(config.length / 2, config.speed, config.speed / 2)
+
+
 def dichotomy_process(config: DichotomyConfig) -> GeometricEventProcess:
     """The halving walk as an event process: first half takes length/(2*speed),
     each further half takes half as long again."""
-    return GeometricEventProcess(
-        first_interval=config.length / (2 * config.speed), ratio=Fraction(1, 2)
-    )
+    return race_as_process(_dichotomy_chase(config))
 
 
 def dichotomy_sequence(config: DichotomyConfig, count: int) -> list[StepEvent]:
     """Events 0..count-1 of the halving walk, count <= race.MAX_STEPS.
 
-    The walk is the chase with head start length/2, pursuer speed `speed`
-    and leader speed speed/2: the leader's next mark is always halfway
-    between the runner and the end of the track. Event n is the runner
-    reaching length*(1 - (1/2)^(n+1)) at time x/speed, strictly short of
-    the full length.
+    Event n is the runner reaching length*(1 - (1/2)^(n+1)) at time
+    x/speed, strictly short of the full length.
     """
-    chase = RaceConfig(config.length / 2, config.speed, config.speed / 2)
-    return step_sequence(chase, count)
+    return step_sequence(_dichotomy_chase(config), count)
 
 
 def bounce_process(config: BounceConfig) -> GeometricEventProcess:

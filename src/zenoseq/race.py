@@ -23,6 +23,7 @@ no gcd of a big integer.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -229,16 +230,15 @@ def check_speed_identities(config: RaceConfig, events: list[StepEvent]) -> bool:
     """True iff the events reproduce both speeds exactly.
 
     The pursuer's speed must equal x_n/t_n at every event; the leader's
-    speed (when nonzero) must equal (x_{n+1} - x0)/t_n, its displacement
-    per elapsed step time.
+    speed must equal (x_{n+1} - x0)/t_n, its displacement per elapsed step
+    time.
     """
     for ev in events:
         if ev.x != config.sa * ev.t:
             return False
-    if config.st > 0:
-        for cur, nxt in zip(events, events[1:]):
-            if nxt.x - config.x0 != config.st * cur.t:
-                return False
+    for cur, nxt in zip(events, events[1:]):
+        if nxt.x - config.x0 != config.st * cur.t:
+            return False
     return True
 
 
@@ -299,13 +299,7 @@ def _least_true(pred: Callable[[int], bool], start: int) -> int:
             lo, step = hi, 2 * step
             hi = lo + step
     # pred(hi) holds; pred(lo) does not, or lo == 0.
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return lo + 1 + bisect_left(range(lo + 1, hi), True, key=pred)
 
 
 def steps_to_within(config: RaceConfig, eps) -> int:

@@ -204,6 +204,11 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stdout == b""
 
+    def test_non_ascii_digits_are_usage_error(self):
+        proc = run_cli(("catchup", "--x0", "\u0661", "--sa", "\uff12", "--st", "1"))
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+
     def test_unknown_subcommand(self):
         proc = run_cli(("nonsense",))
         assert proc.returncode == 2
@@ -251,6 +256,18 @@ class TestExitCodes:
             ["floaterr", "--x0", "1", "--sa", "2", "--st", "1", "--nmax", "0"], capsys
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "x0, st, nmax",
+        [("1" + "0" * 400, "0", "2"), ("1" + "0" * 308, "1/2", "5")],
+        ids=["term", "t_inf"],
+    )
+    def test_float_overflow_is_invalid_input(self, x0, st, nmax, capsys):
+        argv = ["floaterr", "--x0", x0, "--sa", "1", "--st", st, "--nmax", nmax]
+        code, out, err = run_main(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "binary64 range" in err
 
     def test_eps_zero_rejected(self, capsys):
         code, _, err = run_main(

@@ -10,6 +10,7 @@ left-to-right summation adds about one ulp per term on top, giving the
 (n+1) * 2^-52 envelope.
 """
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -145,6 +146,29 @@ class TestErrorSweep:
     def test_divergent_rejected(self):
         with pytest.raises(DivergenceError):
             error_sweep(RaceConfig(1, 1, 1), 5)
+
+
+class TestBinary64Range:
+    # t_inf = 10^400 (every term) and 2 * 10^308 (only the sum) are above
+    # the largest double.
+    @pytest.mark.parametrize(
+        "config", [RaceConfig(10**400, 1, 0), RaceConfig(10**308, 1, F(1, 2))]
+    )
+    def test_catch_up_time_above_the_range_rejected(self, config):
+        with pytest.raises(ValueError, match="binary64 range"):
+            sum_naive(config, 0)
+        with pytest.raises(ValueError, match="binary64 range"):
+            error_sweep(config, 5)
+
+    def test_partial_sum_rounding_to_infinity_rejected(self):
+        # t_inf is exactly the largest double; the rounded float terms at
+        # r = 9/10 overshoot it and the sums reach infinity at n = 328.
+        config = RaceConfig(F(sys.float_info.max) / 10, 1, F(9, 10))
+        assert sum_naive(config, 300).value < sys.float_info.max
+        with pytest.raises(ValueError, match="binary64 range"):
+            sum_naive(config, 400)
+        with pytest.raises(ValueError, match="binary64 range"):
+            error_sweep(config, 400)
 
 
 class TestExactnessWitness:

@@ -131,6 +131,15 @@ class TestEventTimes:
         with pytest.raises(ValueError):
             event_times(GeometricEventProcess(1, F(1, 2)), 0)
 
+    def test_count_over_the_cap_rejected(self):
+        with pytest.raises(ValueError):
+            event_times(GeometricEventProcess(1, 0), MAX_STEPS + 2)
+
+    def test_cap_itself_is_allowed(self):
+        times = event_times(GeometricEventProcess(1, 0), MAX_STEPS + 1)
+        assert len(times) == MAX_STEPS + 1
+        assert times[-1] == 1
+
 
 class TestAccumulationPoint:
     def test_halving(self):

@@ -277,6 +277,15 @@ class TestSpeedIdentities:
         events[2] = StepEvent(n=bad.n, t=bad.t + F(1, 100), x=bad.x)
         assert not check_speed_identities(config, events)
 
+    def test_stationary_leader_corrupted_position_breaks_it(self):
+        # The moved event keeps x = sa*t, so only the leader identity
+        # x_{n+1} - x0 = st*t_n (here 0) can catch it.
+        config = RaceConfig(1, 2, 0)
+        events = step_sequence(config, 4)
+        x = events[1].x + 1
+        events[1] = StepEvent(n=1, t=x / config.sa, x=x)
+        assert not check_speed_identities(config, events)
+
     def test_count_below_two_rejected(self):
         with pytest.raises(ValueError):
             verify_speed_identities(RaceConfig(1, 2, 1), 1)

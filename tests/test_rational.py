@@ -11,6 +11,25 @@ from zenoseq.rational import parse, render, to_decimal_string
 rationals = st.fractions(
     min_value=Fraction(-1000), max_value=Fraction(1000), max_denominator=1000
 )
+ascii_digits = st.text(alphabet="0123456789", min_size=1, max_size=40)
+# odd/(2*10^d) scaled by 10^d ends in exactly .5: a tie at d digits.
+decimal_ties = st.builds(
+    lambda half, d: (Fraction(2 * half + 1, 2 * 10**d), d),
+    st.integers(min_value=-(10**6), max_value=10**6),
+    st.integers(min_value=0, max_value=12),
+)
+
+
+def grammar_oracle(sign: str, whole: str, tail: str | None, rest: str) -> Fraction:
+    """The literal's value assembled from its parts, without Fraction's parser."""
+    if tail == "/":
+        value = Fraction(int(whole), int(rest))
+    elif tail == ".":
+        scale = 10 ** len(rest)
+        value = Fraction(int(whole) * scale + int(rest), scale)
+    else:
+        value = Fraction(int(whole))
+    return -value if sign else value
 
 
 class TestMake:
@@ -107,6 +126,10 @@ class TestParse:
             "0x10",
             "nan",
             "inf",
+            "\u0661",  # Arabic-Indic one
+            "\uff11\uff12",  # fullwidth 12
+            "1/\u0662",
+            "\u0663.\u0665",
         ],
     )
     def test_malformed_rejected(self, bad):
@@ -116,6 +139,20 @@ class TestParse:
     def test_zero_denominator_rejected(self):
         with pytest.raises(ValueError):
             parse("1/0")
+
+    @given(
+        st.sampled_from(["", "-"]),
+        ascii_digits,
+        st.sampled_from([None, "/", "."]),
+        ascii_digits,
+    )
+    def test_matches_the_grammar_oracle(self, sign, whole, tail, rest):
+        text = sign + whole + (tail + rest if tail else "")
+        if tail == "/" and int(rest) == 0:
+            with pytest.raises(ValueError):
+                parse(text)
+        else:
+            assert parse(text) == grammar_oracle(sign, whole, tail, rest)
 
 
 class TestRender:
@@ -161,9 +198,11 @@ class TestDecimalString:
         with pytest.raises(ValueError):
             to_decimal_string(Fraction(1, 2), -1)
 
-    @given(rationals, st.integers(min_value=0, max_value=12))
-    def test_matches_decimal_module(self, a, digits):
+    @given(st.one_of(st.tuples(rationals, st.integers(min_value=0, max_value=12)), decimal_ties))
+    def test_matches_decimal_module(self, case):
         import decimal
+
+        a, digits = case
 
         with decimal.localcontext() as ctx:
             ctx.prec = 60
