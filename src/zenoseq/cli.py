@@ -5,6 +5,11 @@ Exit codes: 0 success, 2 invalid input, 3 divergent/no finite limit,
 never floating numbers, and each result rational carries both its exact
 form and a decimal approximation. Output is built fully in memory and
 written in one flush, so identical invocations are byte-identical.
+
+The table commands hand rows of exact cells to one emitter, `_emit`,
+which renders them and lays them out as csv or as a padded table. Every
+bounded integer flag has its range in `RANGES`; `main` checks them all
+before a command does any work, and the help strings quote them.
 """
 
 from __future__ import annotations
@@ -20,6 +25,13 @@ from .rational import parse, render, to_decimal_string
 
 SCHEMA_VERSION = 1
 DEFAULT_DIGITS = 6
+# Inclusive (low, high) of each integer flag; high None means unbounded.
+RANGES = {
+    "n": (1, race.MAX_STEPS),
+    "k": (0, race.MAX_STEPS),
+    "nmax": (1, race.MAX_STEPS),
+    "digits": (0, None),
+}
 
 
 class InternalCheckError(Exception):
@@ -31,38 +43,43 @@ def _pair(value: Fraction, digits: int) -> dict[str, str]:
 
 
 def _scalar(label: str, value: Fraction, digits: int) -> str:
-    return f"{label} = {render(value)} ({to_decimal_string(value, digits)})"
+    return f"{label} = {render(value)} ({to_decimal_string(value, digits)})\n"
 
 
 def _envelope(command: str, inputs: dict, results: dict) -> str:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
-        "inputs": inputs,
+        "inputs": {k: render(v) if isinstance(v, Fraction) else v for k, v in inputs.items()},
         "results": results,
     }
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _table(header: list[str], rows: list[list[str]]) -> str:
-    widths = [
-        max(len(header[i]), *(len(row[i]) for row in rows)) if rows else len(header[i])
-        for i in range(len(header))
-    ]
-    lines = []
-    for row in [header, *rows]:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-    return "\n".join(lines) + "\n"
+def _emit(form: str, header: tuple[str, ...], rows, footer: str = "") -> str:
+    """Rows of exact cells as csv or as a table padded to the widest cell.
+
+    A Fraction cell is rendered; any other cell (int, str, float) goes
+    through str(), which for a float is its shortest round-trip repr.
+    """
+    lines = [header]
+    for row in rows:
+        lines.append([render(v) if isinstance(v, Fraction) else str(v) for v in row])
+    if form == "csv":
+        lines = [",".join(line) for line in lines]
+    else:
+        widths = [max(map(len, column)) for column in zip(*lines)]
+        lines = ["  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip() for line in lines]
+    return "\n".join(lines) + "\n" + footer
 
 
-def _csv(header: list[str], rows: list[list[str]]) -> str:
-    return "\n".join([",".join(header), *(",".join(row) for row in rows)]) + "\n"
-
-
-def _check_count(flag: str, value: int, low: int = 1) -> None:
-    """Refuse a row count outside low..MAX_STEPS before any model work starts."""
-    if not low <= value <= race.MAX_STEPS:
-        raise ValueError(f"--{flag} must be between {low} and {race.MAX_STEPS}")
+def _check_ranges(args) -> None:
+    """Refuse an integer flag outside RANGES before any model work starts."""
+    for flag, (low, high) in RANGES.items():
+        value = getattr(args, flag, low)
+        if value < low or high is not None and value > high:
+            bound = f"at least {low}" if high is None else f"between {low} and {high}"
+            raise ValueError(f"--{flag} must be {bound}")
 
 
 def _race_config(args) -> race.RaceConfig:
@@ -75,18 +92,13 @@ def cmd_catchup(args) -> str:
     if args.json:
         return _envelope(
             "catchup",
-            {"x0": render(config.x0), "sa": render(config.sa), "st": render(config.st)},
+            {"x0": config.x0, "sa": config.sa, "st": config.st},
             {
                 "t_inf": _pair(result.t_inf, args.digits),
                 "x_inf": _pair(result.x_inf, args.digits),
             },
         )
-    return (
-        _scalar("t_inf", result.t_inf, args.digits)
-        + "\n"
-        + _scalar("x_inf", result.x_inf, args.digits)
-        + "\n"
-    )
+    return _scalar("t_inf", result.t_inf, args.digits) + _scalar("x_inf", result.x_inf, args.digits)
 
 
 def _step_rows(config: race.RaceConfig, count: int):
@@ -118,18 +130,12 @@ def _step_rows(config: race.RaceConfig, count: int):
 
 
 def cmd_steps(args) -> str:
-    _check_count("n", args.n)
     config = _race_config(args)
     events, gaps = _step_rows(config, args.n)
     if args.format == "json":
         return _envelope(
             "steps",
-            {
-                "x0": render(config.x0),
-                "sa": render(config.sa),
-                "st": render(config.st),
-                "n": args.n,
-            },
+            {"x0": config.x0, "sa": config.sa, "st": config.st, "n": args.n},
             {
                 "steps": [
                     {
@@ -142,77 +148,63 @@ def cmd_steps(args) -> str:
                 ]
             },
         )
-    rows = [
-        [str(ev.n), render(ev.t), render(ev.x), render(gap)]
-        for ev, gap in zip(events, gaps)
-    ]
-    header = ["n", "t_n", "x_n", "gap"]
-    if args.format == "csv":
-        return _csv(header, rows)
-    return _table(header, rows)
+    rows = ((ev.n, ev.t, ev.x, gap) for ev, gap in zip(events, gaps))
+    return _emit(args.format, ("n", "t_n", "x_n", "gap"), rows)
 
 
 def cmd_within(args) -> str:
     config = _race_config(args)
     n = race.steps_to_within(config, args.eps)
     residual = race.catch_up(config).t_inf * config.ratio ** (n + 1)
-    return f"n = {n}\n" + _scalar("residual", residual, args.digits) + "\n"
+    return f"n = {n}\n" + _scalar("residual", residual, args.digits)
 
 
 def cmd_process(args) -> str:
-    _check_count("k", args.k, low=0)
     proc = processes.GeometricEventProcess(first_interval=args.first, ratio=args.ratio)
     times = processes.event_times(proc, args.k + 1)
-    rows = [[str(k), render(t)] for k, t in enumerate(times)]
-    out = _table(["k", "t_k"], rows)
     if proc.ratio < 1:
         limit = processes.accumulation_point(proc)
-        out += _scalar("accumulation point", limit, args.digits) + "\n"
+        footer = _scalar("accumulation point", limit, args.digits)
     else:
         # Partial sums are well defined regardless of convergence, so the
         # event table still prints and this is not an error exit.
-        out += "accumulation point: divergent (ratio >= 1)\n"
-    return out
+        footer = "accumulation point: divergent (ratio >= 1)\n"
+    return _emit("table", ("k", "t_k"), enumerate(times), footer)
 
 
 def cmd_dichotomy(args) -> str:
-    _check_count("n", args.n)
     config = processes.DichotomyConfig(length=args.length, speed=args.speed)
     events = processes.dichotomy_sequence(config, args.n)
     total = processes.accumulation_point(processes.dichotomy_process(config))
-    rows = [[str(ev.n), render(ev.t), render(ev.x)] for ev in events]
-    return _table(["n", "t_n", "x_n"], rows) + _scalar("total time", total, args.digits) + "\n"
+    rows = ((ev.n, ev.t, ev.x) for ev in events)
+    return _emit("table", ("n", "t_n", "x_n"), rows, _scalar("total time", total, args.digits))
 
 
 def cmd_bounce(args) -> str:
     config = processes.BounceConfig(first_flight=args.first, time_ratio=args.ratio)
     rest = processes.accumulation_point(processes.bounce_process(config))
-    return _scalar("rest time", rest, args.digits) + "\n"
+    return _scalar("rest time", rest, args.digits)
 
 
 def cmd_floaterr(args) -> str:
-    _check_count("nmax", args.nmax)
     config = _race_config(args)
-    rows = []
-    for pair in floatsum.error_sweep(config, args.nmax):
-        for report in pair:
-            rows.append(
-                [
-                    str(report.n),
-                    report.method,
-                    repr(report.value),
-                    render(report.exact),
-                    repr(float(report.abs_error)),
-                    repr(float(report.rel_error)),
-                ]
-            )
-    return _csv(["n", "method", "value", "exact", "abs_error", "rel_error"], rows)
+    rows = (
+        (r.n, r.method, r.value, r.exact, float(r.abs_error), float(r.rel_error))
+        for pair in floatsum.error_sweep(config, args.nmax)
+        for r in pair
+    )
+    return _emit("csv", ("n", "method", "value", "exact", "abs_error", "rel_error"), rows)
 
 
 def _add_race_arguments(sub) -> None:
     sub.add_argument("--x0", type=parse, required=True, help="leader's head start (rational)")
     sub.add_argument("--sa", type=parse, required=True, help="pursuer speed (rational)")
     sub.add_argument("--st", type=parse, required=True, help="leader speed (rational)")
+
+
+def _add_count(sub, flag: str, text: str) -> None:
+    low, high = RANGES[flag]
+    sub.add_argument(f"--{flag}", type=int, required=True, help=f"{text} ({low}..{high})")
 
 
 def _add_digits(sub) -> None:
@@ -241,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("steps", help="step-event table of the chase")
     _add_race_arguments(p)
     _add_digits(p)
-    p.add_argument("--n", type=int, required=True, help="number of steps (1..10000)")
+    _add_count(p, "n", "number of steps")
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
     p.set_defaults(handler=cmd_steps)
 
@@ -254,14 +246,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("process", help="event times of a geometric event process")
     p.add_argument("--first", type=parse, required=True, help="duration of event 0 (rational)")
     p.add_argument("--ratio", type=parse, required=True, help="interval ratio (rational)")
-    p.add_argument("--k", type=int, required=True, help="last event index to print (0..10000)")
+    _add_count(p, "k", "last event index to print")
     _add_digits(p)
     p.set_defaults(handler=cmd_process)
 
     p = sub.add_parser("dichotomy", help="half-the-remaining-distance walk")
     p.add_argument("--length", type=parse, required=True, help="track length (rational)")
     p.add_argument("--speed", type=parse, required=True, help="runner speed (rational)")
-    p.add_argument("--n", type=int, required=True, help="number of steps (1..10000)")
+    _add_count(p, "n", "number of steps")
     _add_digits(p)
     p.set_defaults(handler=cmd_dichotomy)
 
@@ -273,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("floaterr", help="float summation audited against the exact oracle")
     _add_race_arguments(p)
-    p.add_argument("--nmax", type=int, required=True, help="sweep end index (1..10000)")
+    _add_count(p, "nmax", "sweep end index")
     p.add_argument("--format", choices=("csv",), default="csv")
     p.set_defaults(handler=cmd_floaterr)
 
@@ -283,6 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_ranges(args)
         out = args.handler(args)
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

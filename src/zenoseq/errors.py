@@ -1,5 +1,7 @@
 """Domain errors shared across the package."""
 
+__all__ = ["DegenerateRatioError", "DivergenceError"]
+
 
 class DegenerateRatioError(ValueError):
     """A geometric closed form was evaluated at ratio 1, where 1 - ratio = 0.

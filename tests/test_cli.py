@@ -1,11 +1,13 @@
 """CLI behavior: golden outputs, exit codes, determinism, JSON round-trips."""
 
+import importlib.util
 import io
 import json
 import subprocess
 import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -17,6 +19,8 @@ from zenoseq.race import RaceConfig, catch_up, t_n_closed, x_n_closed
 from zenoseq.rational import parse
 
 F = Fraction
+
+_CHECKS = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
 
 
 def run_cli(argv: tuple[str, ...]) -> subprocess.CompletedProcess:
@@ -129,6 +133,45 @@ class TestGoldenContents:
             raw = golden_path(name).read_bytes()
             assert b"\r" not in raw
             assert b'"' not in raw
+
+
+def _load_checks():
+    spec = importlib.util.spec_from_file_location("perfbench_checks", _CHECKS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestLargeTables:
+    # The goldens hold at most a few rows, so column widths and cells of
+    # hundreds of digits are checked here against the benchmark's oracle,
+    # which recomputes every line from the closed forms.
+    NINE_TENTHS = ("--x0", "3/7", "--sa", "10", "--st", "9")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("steps", *NINE_TENTHS, "--n", "300", "--format", "table"),
+            ("steps", *NINE_TENTHS, "--n", "300", "--format", "csv"),
+            ("steps", *NINE_TENTHS, "--n", "300", "--format", "json", "--digits", "11"),
+            ("steps", "--x0", "5/3", "--sa", "999", "--st", "1000", "--n", "300"),
+            ("dichotomy", "--length", "7/3", "--speed", "5/11", "--n", "300"),
+            ("process", "--first", "5/3", "--ratio", "999/1000", "--k", "300", "--digits", "9"),
+            ("floaterr", "--x0", "3/7", "--sa", "1000", "--st", "999", "--nmax", "300"),
+        ],
+        ids=[
+            "steps-table",
+            "steps-csv",
+            "steps-json",
+            "steps-divergent",
+            "dichotomy",
+            "process",
+            "floaterr",
+        ],
+    )
+    def test_output_passes_the_benchmark_checks(self, argv, capsys):
+        code, out, err = run_main(list(argv), capsys)
+        _load_checks().check_cli(argv, code, out, err)
 
 
 positive = st.fractions(min_value=F(1, 1000), max_value=F(1000), max_denominator=1000)
@@ -251,11 +294,14 @@ class TestExitCodes:
         assert len(lines) == 10_003
         assert lines[-2].split() == ["10000", "1"]
 
-    def test_nmax_out_of_range(self, capsys):
-        code, _, err = run_main(
-            ["floaterr", "--x0", "1", "--sa", "2", "--st", "1", "--nmax", "0"], capsys
+    @pytest.mark.parametrize("nmax", ["0", "10001"])
+    def test_nmax_out_of_range(self, nmax, capsys):
+        code, out, err = run_main(
+            ["floaterr", "--x0", "1", "--sa", "2", "--st", "1", "--nmax", nmax], capsys
         )
         assert code == 2
+        assert out == ""
+        assert err == "error: --nmax must be between 1 and 10000\n"
 
     @pytest.mark.parametrize(
         "x0, st, nmax",
@@ -307,12 +353,39 @@ class TestFlags:
         assert code == 0
         assert out == "t_inf = 1/2 (0)\nx_inf = 3/2 (2)\n"
 
-    def test_negative_digits_rejected(self, capsys):
-        code, _, err = run_main(
-            ["catchup", "--x0", "1", "--sa", "3", "--st", "1", "--digits", "-1"], capsys
-        )
+    # Every command with --digits refuses a negative value before any work,
+    # also where no decimal would be printed (steps table/csv, process with
+    # ratio >= 1).
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["catchup", "--x0", "1", "--sa", "3", "--st", "1"],
+            ["steps", "--x0", "1", "--sa", "3", "--st", "1", "--n", "3", "--format", "table"],
+            ["steps", "--x0", "1", "--sa", "3", "--st", "1", "--n", "3", "--format", "csv"],
+            ["steps", "--x0", "1", "--sa", "3", "--st", "1", "--n", "3", "--format", "json"],
+            ["within", "--x0", "1", "--sa", "3", "--st", "1", "--eps", "1/10"],
+            ["process", "--first", "1", "--ratio", "1/2", "--k", "3"],
+            ["process", "--first", "1", "--ratio", "3/2", "--k", "3"],
+            ["dichotomy", "--length", "1", "--speed", "1", "--n", "3"],
+            ["bounce", "--first", "1", "--ratio", "1/2"],
+        ],
+        ids=[
+            "catchup",
+            "steps-table",
+            "steps-csv",
+            "steps-json",
+            "within",
+            "process-convergent",
+            "process-divergent",
+            "dichotomy",
+            "bounce",
+        ],
+    )
+    def test_negative_digits_rejected(self, argv, capsys):
+        code, out, err = run_main([*argv, "--digits", "-1"], capsys)
         assert code == 2
-        assert "digits" in err
+        assert out == ""
+        assert err == "error: --digits must be at least 0\n"
 
     def test_decimal_inputs_parse_exactly(self, capsys):
         code, out, _ = run_main(["catchup", "--x0", "1", "--sa", "2.5", "--st", "0.5"], capsys)
