@@ -62,12 +62,11 @@ def _emit(form: str, header: tuple[str, ...], rows, footer: str = "") -> str:
     A Fraction cell is rendered; any other cell (int, str, float) goes
     through str(), which for a float is its shortest round-trip repr.
     """
-    lines = [header]
-    for row in rows:
-        lines.append([render(v) if isinstance(v, Fraction) else str(v) for v in row])
+    cells = ([render(v) if isinstance(v, Fraction) else str(v) for v in row] for row in rows)
     if form == "csv":
-        lines = [",".join(line) for line in lines]
+        lines = [",".join(header), *map(",".join, cells)]
     else:
+        lines = [header, *cells]
         widths = [max(map(len, column)) for column in zip(*lines)]
         lines = ["  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip() for line in lines]
     return "\n".join(lines) + "\n" + footer
