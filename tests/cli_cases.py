@@ -36,6 +36,8 @@ CASES = [
     CliCase("steps-stationary", ("steps", "--x0", "1", "--sa", "2", "--st", "0", "--n", "2")),
     CliCase("steps-divergent", ("steps", "--x0", "1", "--sa", "1", "--st", "2", "--n", "3")),
     CliCase("steps-json", ("steps", "--x0", "1", "--sa", "2", "--st", "1", "--n", "2", "--format", "json")),
+    # Ratio 1 has no closed form, so the gap check is the only one that runs.
+    CliCase("steps-equal-speeds", ("steps", "--x0", "2/3", "--sa", "5", "--st", "5", "--n", "3")),
     CliCase("within-tenth", ("within", "--x0", "1", "--sa", "2", "--st", "1", "--eps", "1/10")),
     CliCase("within-loose", ("within", "--x0", "1", "--sa", "2", "--st", "1", "--eps", "2")),
     CliCase(

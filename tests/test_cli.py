@@ -1,5 +1,6 @@
 """CLI behavior: golden outputs, exit codes, determinism, JSON round-trips."""
 
+import dataclasses
 import importlib.util
 import io
 import json
@@ -78,6 +79,15 @@ class TestGoldenContents:
         assert lines[0].split() == ["n", "t_n", "x_n", "gap"]
         rows = [line.split() for line in lines[1:]]
         assert rows == [["0", "1", "1", "2"], ["1", "3", "3", "4"], ["2", "7", "7", "8"]]
+
+    def test_equal_speeds_steps_keep_a_constant_gap(self):
+        # r = 1: x_n = (n+1)*x0 and t_n = x_n/sa, and the lead stays x0.
+        lines = golden_path("steps-equal-speeds").read_text().splitlines()
+        assert [line.split() for line in lines[1:]] == [
+            ["0", "2/15", "2/3", "2/3"],
+            ["1", "4/15", "4/3", "2/3"],
+            ["2", "2/5", "2", "2/3"],
+        ]
 
     def test_within_tenth(self):
         assert golden_path("within-tenth").read_text() == (
@@ -343,6 +353,32 @@ class TestExitCodes:
         code, _, err = run_main(["steps", "--x0", "1", "--sa", "1", "--st", "1", "--n", "3"], capsys)
         assert code == 4
         assert "gap" in err
+
+    # A mismatch found after earlier rows were already formatted still ends
+    # with nothing on stdout, in every format.
+    @pytest.mark.parametrize("form", ["table", "csv", "json"])
+    def test_late_closed_form_mismatch_prints_nothing(self, form, capsys, monkeypatch):
+        true_x = cli.race.x_n_closed
+        monkeypatch.setattr(
+            cli.race, "x_n_closed", lambda config, n: true_x(config, n) + (n == 3)
+        )
+        argv = ["steps", "--x0", "1", "--sa", "2", "--st", "1", "--n", "5", "--format", form]
+        code, out, err = run_main(argv, capsys)
+        assert code == 4
+        assert out == ""
+        assert err == "internal error: closed form and recurrence disagree at step 3\n"
+
+    @pytest.mark.parametrize("form", ["table", "csv", "json"])
+    def test_late_gap_mismatch_prints_nothing(self, form, capsys, monkeypatch):
+        config = RaceConfig(x0=F(1), sa=F(1), st=F(1))
+        events = cli.race.step_sequence(config, 5)
+        events[3] = dataclasses.replace(events[3], x=events[3].x + 1)
+        monkeypatch.setattr(cli.race, "step_sequence", lambda config, count: events)
+        argv = ["steps", "--x0", "1", "--sa", "1", "--st", "1", "--n", "5", "--format", form]
+        code, out, err = run_main(argv, capsys)
+        assert code == 4
+        assert out == ""
+        assert "gap" in err and "step 2" in err
 
 
 class TestFlags:

@@ -26,3 +26,15 @@ def test_error_sweep_demo_prints_one_block_per_ratio():
     assert [h.split()[1] for h in headers] == ["1/2", "9/10"]
     # Each block: its header, the column titles, the rows n = 0, 1, 3, 10, a blank line.
     assert proc.stdout.count("\n") == 2 * 7
+
+
+def test_check_interpreters_passes_on_the_running_interpreter():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "check_interpreters.py"), sys.executable],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    [row] = proc.stdout.splitlines()
+    assert row.startswith(sys.executable) and row.endswith("  ok")
