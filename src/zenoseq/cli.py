@@ -8,10 +8,10 @@ written in one flush, so identical invocations are byte-identical.
 
 The table commands hand rows of exact cells to one emitter, `_emit`,
 which renders them and lays them out as csv or as a padded table.
-`steps` checks each row against the closed forms and the next position
-as the row is made, and every format reads those checked rows. Every
-bounded integer flag has its range in `RANGES`; `main` checks them all
-before a command does any work, and the help strings quote them.
+Every table reads its partial sums through one checker, `_checked`,
+against their closed forms, and `steps` and `dichotomy` also check each
+gap against the next position. Each bounded integer flag has its range
+in `RANGES`, which `main` checks before any work and the help quotes.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ RANGES = {
 
 
 class InternalCheckError(Exception):
-    """Closed form and recurrence disagreed on a value about to be emitted."""
+    """A table value about to be emitted failed its cross-check."""
 
 
 def _pair(value: Fraction, digits: int) -> dict[str, str]:
@@ -102,29 +102,37 @@ def cmd_catchup(args) -> str:
     return _scalar("t_inf", result.t_inf, args.digits) + _scalar("x_inf", result.x_inf, args.digits)
 
 
+def _checked(values, closed, model):
+    """Yield (n, value) once value equals its closed form closed(model, n).
+
+    At model.ratio 1 there is none and values pass unchecked. A mismatch
+    raises InternalCheckError; handlers return their whole output before
+    `main` writes it, so even a late mismatch leaves stdout empty.
+    """
+    check = model.ratio != 1
+    for n, value in enumerate(values):
+        if check and closed(model, n) != value:
+            raise InternalCheckError(f"closed form and recurrence disagree at step {n}")
+        yield n, value
+
+
 def _step_rows(config: race.RaceConfig, count: int):
     """Yield (n, t_n, x_n, gap) for each recurrence event, checked first.
 
-    The gap is the leader's lead x0*r^(n+1), carried as a running product
-    (ratio 1 included). Before a row is yielded, its time and position are
-    compared with their closed forms when the ratio is not 1, and its gap
-    with the step to the next event's position (the last row has none).
-    A mismatch raises InternalCheckError. Every handler returns its whole
-    output before `main` writes any of it, so a mismatch on a late row
-    still leaves stdout empty; streamed output would have to run all these
-    checks before its first write.
+    Times and positions go through _checked. The gap, the leader's lead
+    x0*r^(n+1), is carried as a running product (ratio 1 included) and
+    compared with the step to the next event's position (the last row
+    has none); a mismatch raises InternalCheckError.
     """
     events = race.step_sequence(config, count)
     r = config.ratio
+    times = _checked((ev.t for ev in events), race.t_n_closed, config)
+    positions = _checked((ev.x for ev in events), race.x_n_closed, config)
     gap = config.x0 * r
-    for ev, nxt in zip(events, events[1:] + [None]):
-        if r != 1 and (
-            race.t_n_closed(config, ev.n) != ev.t or race.x_n_closed(config, ev.n) != ev.x
-        ):
-            raise InternalCheckError(f"closed form and recurrence disagree at step {ev.n}")
-        if nxt is not None and nxt.x - ev.x != gap:
-            raise InternalCheckError(f"gap closed form and recurrence disagree at step {ev.n}")
-        yield ev.n, ev.t, ev.x, gap
+    for (n, t), (_, x), nxt in zip(times, positions, events[1:] + [None]):
+        if nxt is not None and nxt.x - x != gap:
+            raise InternalCheckError(f"gap and next position disagree at step {n}")
+        yield n, t, x, gap
         gap *= r
 
 
@@ -161,14 +169,13 @@ def cmd_process(args) -> str:
         # Partial sums are well defined regardless of convergence, so the
         # event table still prints and this is not an error exit.
         footer = "accumulation point: divergent (ratio >= 1)\n"
-    return _emit("table", ("k", "t_k"), enumerate(times), footer)
+    return _emit("table", ("k", "t_k"), _checked(times, processes.event_time, proc), footer)
 
 
 def cmd_dichotomy(args) -> str:
     config = processes.DichotomyConfig(length=args.length, speed=args.speed)
-    events = processes.dichotomy_sequence(config, args.n)
     total = processes.accumulation_point(processes.dichotomy_process(config))
-    rows = ((ev.n, ev.t, ev.x) for ev in events)
+    rows = (row[:3] for row in _step_rows(processes.dichotomy_chase(config), args.n))
     return _emit("table", ("n", "t_n", "x_n"), rows, _scalar("total time", total, args.digits))
 
 
@@ -180,9 +187,11 @@ def cmd_bounce(args) -> str:
 
 def cmd_floaterr(args) -> str:
     config = _race_config(args)
+    sweep = floatsum.error_sweep(config, args.nmax)
+    exact = _checked((naive.exact for naive, _ in sweep), race.t_n_closed, config)
     rows = (
-        (r.n, r.method, r.value, r.exact, float(r.abs_error), float(r.rel_error))
-        for pair in floatsum.error_sweep(config, args.nmax)
+        (r.n, r.method, r.value, s, float(r.abs_error), float(r.rel_error))
+        for (_, s), pair in zip(exact, sweep)
         for r in pair
     )
     return _emit("csv", ("n", "method", "value", "exact", "abs_error", "rel_error"), rows)

@@ -44,6 +44,7 @@ __all__ = [
     "event_times",
     "accumulation_point",
     "race_as_process",
+    "dichotomy_chase",
     "dichotomy_process",
     "dichotomy_sequence",
     "bounce_process",
@@ -140,7 +141,7 @@ def race_as_process(config: RaceConfig) -> GeometricEventProcess:
     )
 
 
-def _dichotomy_chase(config: DichotomyConfig) -> RaceConfig:
+def dichotomy_chase(config: DichotomyConfig) -> RaceConfig:
     """The chase the halving walk is: x0 = length/2, sa = speed, st = speed/2."""
     return RaceConfig(config.length / 2, config.speed, config.speed / 2)
 
@@ -148,7 +149,7 @@ def _dichotomy_chase(config: DichotomyConfig) -> RaceConfig:
 def dichotomy_process(config: DichotomyConfig) -> GeometricEventProcess:
     """The halving walk as an event process: first half takes length/(2*speed),
     each further half takes half as long again."""
-    return race_as_process(_dichotomy_chase(config))
+    return race_as_process(dichotomy_chase(config))
 
 
 def dichotomy_sequence(config: DichotomyConfig, count: int) -> list[StepEvent]:
@@ -157,7 +158,7 @@ def dichotomy_sequence(config: DichotomyConfig, count: int) -> list[StepEvent]:
     Event n is the runner reaching length*(1 - (1/2)^(n+1)) at time
     x/speed, strictly short of the full length.
     """
-    return step_sequence(_dichotomy_chase(config), count)
+    return step_sequence(dichotomy_chase(config), count)
 
 
 def bounce_process(config: BounceConfig) -> GeometricEventProcess:

@@ -355,14 +355,43 @@ class TestExitCodes:
         assert "gap" in err
 
     # A mismatch found after earlier rows were already formatted still ends
-    # with nothing on stdout, in every format.
-    @pytest.mark.parametrize("form", ["table", "csv", "json"])
-    def test_late_closed_form_mismatch_prints_nothing(self, form, capsys, monkeypatch):
-        true_x = cli.race.x_n_closed
-        monkeypatch.setattr(
-            cli.race, "x_n_closed", lambda config, n: true_x(config, n) + (n == 3)
-        )
-        argv = ["steps", "--x0", "1", "--sa", "2", "--st", "1", "--n", "5", "--format", form]
+    # with nothing on stdout, in every table and every steps format. Each
+    # case makes one closed form wrong at n = 3 only.
+    STEPS = ("steps", "--x0", "1", "--sa", "2", "--st", "1", "--n", "5", "--format")
+
+    @pytest.mark.parametrize(
+        "module, name, argv",
+        [
+            ("race", "x_n_closed", (*STEPS, "table")),
+            ("race", "x_n_closed", (*STEPS, "csv")),
+            ("race", "x_n_closed", (*STEPS, "json")),
+            ("race", "t_n_closed", ("dichotomy", "--length", "1", "--speed", "1", "--n", "5")),
+            ("processes", "event_time", ("process", "--first", "1", "--ratio", "1/2", "--k", "5")),
+            ("race", "t_n_closed", ("floaterr", "--x0", "1", "--sa", "2", "--st", "1", "--nmax", "5")),
+        ],
+        ids=["table", "csv", "json", "dichotomy", "process", "floaterr"],
+    )
+    def test_late_closed_form_mismatch_prints_nothing(
+        self, module, name, argv, capsys, monkeypatch
+    ):
+        owner = getattr(cli, module)
+        true_value = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda model, n: true_value(model, n) + (n == 3))
+        code, out, err = run_main(list(argv), capsys)
+        assert code == 4
+        assert out == ""
+        assert err == "internal error: closed form and recurrence disagree at step 3\n"
+
+    def test_late_recurrence_mismatch_prints_nothing(self, capsys, monkeypatch):
+        true_times = cli.processes.event_times
+
+        def times(process, count):
+            values = true_times(process, count)
+            values[3] += 1
+            return values
+
+        monkeypatch.setattr(cli.processes, "event_times", times)
+        argv = ["process", "--first", "1", "--ratio", "1/2", "--k", "5"]
         code, out, err = run_main(argv, capsys)
         assert code == 4
         assert out == ""
@@ -378,7 +407,7 @@ class TestExitCodes:
         code, out, err = run_main(argv, capsys)
         assert code == 4
         assert out == ""
-        assert "gap" in err and "step 2" in err
+        assert err == "internal error: gap and next position disagree at step 2\n"
 
 
 class TestFlags:
